@@ -26,7 +26,7 @@ func runVec(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, par int, vec 
 	return res, log
 }
 
-// TestVectorizedIdentity is the columnar loop's core guarantee: running
+// TestRowColumnarIdentity is the columnar loop's core guarantee: running
 // eligible stages on typed batches instead of boxed rows changes only
 // wall-clock time. For every registered system, a Vectorized run at
 // Parallelism 1 and 8 must produce bit-identical virtual-time metrics
@@ -34,7 +34,7 @@ func runVec(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, par int, vec 
 // materializeVec and fetchShuffleVec in internal/engine/vectorized.go
 // are line-for-line mirrors of the row functions; this sweep is what
 // catches a missed mirror edit.
-func TestVectorizedIdentity(t *testing.T) {
+func TestRowColumnarIdentity(t *testing.T) {
 	for _, wl := range []blaze.WorkloadID{blaze.PR, blaze.KMeans} {
 		for _, sys := range allSystems() {
 			sys, wl := sys, wl
@@ -49,10 +49,10 @@ func TestVectorizedIdentity(t *testing.T) {
 	}
 }
 
-// TestVectorizedIdentitySVDPP extends the sweep to the
+// TestRowColumnarIdentitySVDPP extends the sweep to the
 // serialization-heavy workload whose kernels mix typed columns
 // (Factors) with the boxed escape hatch (RatingList, []any pairs).
-func TestVectorizedIdentitySVDPP(t *testing.T) {
+func TestRowColumnarIdentitySVDPP(t *testing.T) {
 	for _, sys := range []blaze.SystemID{blaze.SysSparkMemDisk, blaze.SysMRD, blaze.SysBlaze} {
 		sys := sys
 		t.Run(string(sys), func(t *testing.T) {
@@ -63,13 +63,13 @@ func TestVectorizedIdentitySVDPP(t *testing.T) {
 	}
 }
 
-// TestVectorizedIdentityUnderFaults repeats the row-vs-batch identity
+// TestRowColumnarIdentityUnderFaults repeats the row-vs-batch identity
 // check with the exec-death and bucket-loss fault classes active: the
 // recovery paths (regeneration, recompute, fault accounting) must issue
 // identical charges and events from both loops. Regenerated stages drop
 // back to the row loop by the eligibility gate, so this also covers the
 // mixed row/vec shuffle-storage conversions.
-func TestVectorizedIdentityUnderFaults(t *testing.T) {
+func TestRowColumnarIdentityUnderFaults(t *testing.T) {
 	systems := []blaze.SystemID{blaze.SysSparkMemDisk, blaze.SysMRD, blaze.SysBlaze}
 	for _, class := range []blaze.FaultClass{blaze.FaultExecutorDeath, blaze.FaultBucketLoss} {
 		for _, sys := range systems {
@@ -104,10 +104,10 @@ func TestVectorizedPathEngages(t *testing.T) {
 	}
 }
 
-// TestVectorizedStreamIdentity extends the guarantee to micro-batch
+// TestRowColumnarStreamIdentity extends the guarantee to micro-batch
 // streaming: N windows through a vectorized session must be bit-equal
 // to the row session, including per-window stats and boundary events.
-func TestVectorizedStreamIdentity(t *testing.T) {
+func TestRowColumnarStreamIdentity(t *testing.T) {
 	run := func(vec bool) (*blaze.StreamResult, *blaze.EventLog) {
 		log := blaze.NewEventLog()
 		res, err := blaze.RunStream(blaze.StreamConfig{
