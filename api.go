@@ -183,10 +183,11 @@ func NewContext() *Context { return dataflow.NewContext() }
 func HashPartition(key int64, parts int) int { return dataflow.HashPartition(key, parts) }
 
 // VecTasksExecuted returns the process-wide count of tasks that ran on
-// the vectorized (columnar) task loop. A Vectorized run's metrics and
-// events are bit-identical to the row loop's by design, so this counter
-// is the only way for tests and benchmarks to confirm the columnar path
-// actually engaged.
+// the columnar task loop. The engine runs a stage columnar when its
+// boundary dataset has a batch kernel and the stage passes the
+// home-locality gate; its metrics and events are bit-identical to the
+// row loop's by design, so this counter is the only way for tests and
+// benchmarks to confirm which loop ran.
 func VecTasksExecuted() int64 { return engine.VecTasksExecuted() }
 
 // ZipDatasets combines two co-partitioned datasets partition-wise with

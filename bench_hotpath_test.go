@@ -11,16 +11,12 @@ import (
 
 	"blaze/internal/dataflow"
 	"blaze/internal/graphx"
-	"blaze/internal/mllib"
 	"blaze/internal/storage"
 )
 
 const (
 	benchVerts = 4096 // records per PR partition
 	benchDeg   = 8    // out-degree per vertex
-	benchPts   = 4096 // points per k-means partition
-	benchDim   = 4
-	benchK     = 8
 )
 
 var sinkRecs []dataflow.Record
@@ -42,30 +38,6 @@ func BenchmarkHotpathPRContribsBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := graphx.BenchContribsBatch(batch)
-		if out == nil {
-			b.Fatal("kernel declined")
-		}
-		out.Release()
-	}
-}
-
-// --- batch map: k-means assignment -------------------------------------
-
-func BenchmarkHotpathKMeansStatsRow(b *testing.B) {
-	ps, cs, _, _ := mllib.BenchKMeansPartition(benchPts, benchDim, benchK)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkRecs = mllib.BenchStatsRow(ps, cs, benchK)
-	}
-}
-
-func BenchmarkHotpathKMeansStatsBatch(b *testing.B) {
-	_, _, pb, cb := mllib.BenchKMeansPartition(benchPts, benchDim, benchK)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := mllib.BenchStatsBatch(pb, cb, benchK)
 		if out == nil {
 			b.Fatal("kernel declined")
 		}

@@ -132,12 +132,6 @@ type RunConfig struct {
 	// the objective to the current job; any positive value widens the
 	// horizon to that many successors. Only meaningful for the Blaze
 	// systems.
-	//
-	// This used to be a *int so that 0 was expressible; it is now a
-	// plain int with exported sentinels. Code that called the
-	// blaze.ILPWindow(n) pointer helper keeps compiling through the
-	// deprecated shim of the same name, which now returns the
-	// equivalent sentinel value.
 	ILPWindow int
 	// RealBytes backs the storage tier with real bytes: memory blocks
 	// are gob-serialized buffers, disk blocks are files under a
@@ -147,13 +141,6 @@ type RunConfig struct {
 	// are bit-identical to a default-mode run; the measurements land in
 	// Result.Storage for modeled-vs-measured comparison.
 	RealBytes bool
-	// Vectorized runs eligible stages on the engine's columnar task
-	// loop: typed batches and pooled buffers instead of per-record
-	// boxing, for real wall-clock throughput (see blazebench
-	// -throughput). Like Parallelism, it changes only wall-clock time:
-	// virtual-time metrics and the event log are bit-identical with the
-	// flag on or off.
-	Vectorized bool
 }
 
 // ILP window sentinels for RunConfig.ILPWindow and JobSpec.ILPWindow.
@@ -165,24 +152,6 @@ const (
 	// current job, with no successor lookahead.
 	ILPWindowCurrentJobOnly = -1
 )
-
-// ILPWindow converts an explicit window size to the RunConfig.ILPWindow
-// value, mapping 0 to ILPWindowCurrentJobOnly and negative values to
-// ILPWindowDefault — the semantics the old pointer helper's callers
-// relied on.
-//
-// Deprecated: assign the window directly (RunConfig.ILPWindow = n, or
-// one of the sentinels). This shim exists for one release so code
-// written against the former *int field keeps compiling.
-func ILPWindow(jobs int) int {
-	if jobs == 0 {
-		return ILPWindowCurrentJobOnly
-	}
-	if jobs < 0 {
-		return ILPWindowDefault
-	}
-	return jobs
-}
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.Executors == 0 {
@@ -444,7 +413,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		Hook:              hook,
 		Resilience:        cfg.Resilience,
 		Parallelism:       cfg.Parallelism,
-		Vectorized:        cfg.Vectorized,
 	})
 	if err != nil {
 		return nil, err
@@ -475,7 +443,6 @@ func runDirect(cfg RunConfig, spec WorkloadSpec, params costmodel.Params, mem in
 		Hook:              hook,
 		Resilience:        cfg.Resilience,
 		RealBytes:         cfg.RealBytes,
-		Vectorized:        cfg.Vectorized,
 	}, ctx)
 	if err != nil {
 		return nil, err

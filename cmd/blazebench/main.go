@@ -263,7 +263,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "input scale factor for every workload")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	parallel := flag.String("parallel", "", "run the multi-core speedup benchmark and write the JSON report to this path")
-	throughputPath := flag.String("throughput", "", "run the columnar hot-path benchmark (row vs. batch records/s, allocs/record, bit-identity) and write the JSON report to this path")
+	throughputPath := flag.String("throughput", "", "run the columnar hot-path benchmark (row vs. batch records/s, allocs/record, P1/P8 identity) and write the JSON report to this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the -throughput run to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile of the -throughput run to this path")
 	ilpPath := flag.String("ilp", "", "run the exact-optimizer benchmark and write the JSON report to this path")

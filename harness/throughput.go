@@ -1,19 +1,15 @@
 package harness
 
 // RunThroughputBench backs blazebench -throughput: the columnar hot-path benchmark. It pumps
-// workload-shaped partitions through the per-task data plane — operator
-// kernel, shuffle route, map-side combine — on the row loop and on the
-// batched loop, at 1 and 8 worker goroutines, and reports records/s and
-// allocations per record for each. It then re-runs the full engine row
-// vs. vectorized and asserts virtual-time metrics and event logs are
-// byte-equal at Parallelism 1 and 8, so the speedup numbers are backed
-// by a bit-identity proof in the same report (BENCH_throughput.json).
-//
-// Shapes: PageRank partitions are 4096 vertices of out-degree 8 routed
-// to 8 reducers; k-means windows are 4096 2-D points assigned to 8
-// centroids, ingested raw the way streaming windows arrive (the row
-// loop must box every point, the batched loop appends to a flat
-// column).
+// PageRank-shaped partitions (4096 vertices of out-degree 8 routed to 8
+// reducers) through the per-task data plane — operator kernel, shuffle
+// route, map-side combine — on the row loop and on the batched loop, at
+// 1 and 8 worker goroutines, and reports records/s and allocations per
+// record for each. It then runs the full engine on PageRank and k-means
+// at Parallelism 1 and 8, asserts virtual-time metrics and event logs
+// are byte-equal, and counts the tasks that ran on the columnar loop
+// (BENCH_throughput.json). Row-against-columnar identity of whole runs
+// is pinned by the seed goldens (identity_golden_test.go).
 
 import (
 	"encoding/json"
@@ -27,16 +23,12 @@ import (
 	"blaze"
 	"blaze/internal/dataflow"
 	"blaze/internal/graphx"
-	"blaze/internal/mllib"
 )
 
 const (
-	tputPRVerts  = 4096
-	tputPRDeg    = 8
-	tputPRParts  = 8
-	tputKMPoints = 4096
-	tputKMDim    = 2
-	tputKMK      = 8
+	tputPRVerts = 4096
+	tputPRDeg   = 8
+	tputPRParts = 8
 
 	tputTargetSpeedup    = 5.0
 	tputTargetAllocRatio = 10.0
@@ -55,11 +47,13 @@ type tputEntry struct {
 	AllocRatio           float64 `json:"alloc_ratio"`
 }
 
+// tputIdentity compares one workload's default engine run at
+// Parallelism 8 against the same run at Parallelism 1.
 type tputIdentity struct {
-	Workload     string `json:"workload"`
-	Parallelism  int    `json:"parallelism"`
-	MetricsEqual bool   `json:"metrics_equal"`
-	EventsEqual  bool   `json:"events_equal"`
+	Workload         string `json:"workload"`
+	MetricsEqual     bool   `json:"metrics_equal"`
+	EventsEqual      bool   `json:"events_equal"`
+	VecTasksExecuted int64  `json:"vec_tasks_executed"`
 }
 
 type tputReport struct {
@@ -70,7 +64,7 @@ type tputReport struct {
 	TargetSpeedup    float64        `json:"target_speedup"`
 	TargetAllocRatio float64        `json:"target_alloc_ratio"`
 	TargetsMet       bool           `json:"targets_met"`
-	BitIdentical     bool           `json:"bit_identical"`
+	P1P8Identical    bool           `json:"p1_p8_identical"`
 	Note             string         `json:"note"`
 }
 
@@ -127,37 +121,6 @@ func prBatchTask(in *dataflow.Batch, router dataflow.Router) int {
 	return n
 }
 
-// kmRowTask ingests one window of raw points as boxed records and runs
-// the assignment closure, the way the row loop processes an arriving
-// streaming window.
-func kmRowTask(flat []float64, cs []dataflow.Record) int {
-	recs := make([]dataflow.Record, tputKMPoints)
-	for i := 0; i < tputKMPoints; i++ {
-		v := make([]float64, tputKMDim)
-		copy(v, flat[i*tputKMDim:(i+1)*tputKMDim])
-		recs[i] = dataflow.Record{Key: int64(i), Value: mllib.Vector{V: v}}
-	}
-	return len(mllib.BenchStatsRow(recs, cs, tputKMK))
-}
-
-// kmBatchTask ingests the same window into a flat vector column and
-// runs the assignment kernel.
-func kmBatchTask(flat []float64, cb *dataflow.Batch) int {
-	pb := dataflow.NewBatch(tputKMPoints)
-	col := mllib.NewVectorColumn(tputKMPoints)
-	pb.Col = col
-	for i := 0; i < tputKMPoints; i++ {
-		pb.Keys = append(pb.Keys, int64(i))
-		col.Flat = append(col.Flat, flat[i*tputKMDim:(i+1)*tputKMDim]...)
-		col.Off = append(col.Off, int32(len(col.Flat)))
-	}
-	out := mllib.BenchStatsBatch(pb, cb, tputKMK)
-	n := out.Len()
-	out.Release()
-	pb.Release()
-	return n
-}
-
 // measureTput runs `task` on `par` goroutines, `tasks` invocations in
 // total, and returns records/s and allocations per record.
 func measureTput(par, tasks, recordsPerTask int, task func()) (recPerSec, allocsPerRec float64) {
@@ -189,9 +152,9 @@ func measureTput(par, tasks, recordsPerTask int, task func()) (recPerSec, allocs
 	return total / elapsed.Seconds(), float64(m1.Mallocs-m0.Mallocs) / total
 }
 
-// identityRun executes one full engine run and returns its result and
-// event log.
-func identityRun(wl blaze.WorkloadID, par int, vec bool) (*blaze.Result, *blaze.EventLog) {
+// identityRun executes one full default engine run and returns its
+// result and event log.
+func identityRun(wl blaze.WorkloadID, par int) (*blaze.Result, *blaze.EventLog) {
 	log := blaze.NewEventLog()
 	res, err := blaze.Run(blaze.RunConfig{
 		System:      blaze.SysBlaze,
@@ -199,7 +162,6 @@ func identityRun(wl blaze.WorkloadID, par int, vec bool) (*blaze.Result, *blaze.
 		Executors:   4,
 		Scale:       0.5,
 		Parallelism: par,
-		Vectorized:  vec,
 		EventLog:    log,
 	})
 	if err != nil {
@@ -242,88 +204,62 @@ func RunThroughputBench(path, cpuProfile, memProfile string) {
 		TargetSpeedup:    tputTargetSpeedup,
 		TargetAllocRatio: tputTargetAllocRatio,
 		Note: "per-task data plane (kernel + route + combine) row vs. batch; " +
-			"identity entries compare full engine runs row vs. vectorized",
+			"identity entries compare full default engine runs at P8 against P1",
 	}
 
 	// PageRank pipeline.
 	prRecs, _ := graphx.BenchPRPartition(tputPRVerts, tputPRDeg)
 	prBatch := dataflow.FromRecords(prRecs)
 	router := dataflow.NewRouter(tputPRParts)
-	// k-means window: raw coordinates plus broadcast centroids.
-	kmFlat := make([]float64, tputKMPoints*tputKMDim)
-	for i := range kmFlat {
-		kmFlat[i] = float64((i*13)%97) / 97
-	}
-	_, kmCents, _, kmCentBatch := mllib.BenchKMeansPartition(1, tputKMDim, tputKMK)
-
-	type pipeline struct {
-		workload       string
-		recordsPerTask int
-		tasks          int
-		row, batch     func()
-	}
-	pipes := []pipeline{
-		{
-			workload: "pr", recordsPerTask: tputPRVerts, tasks: 192,
-			row:   func() { prRowTask(prRecs) },
-			batch: func() { prBatchTask(prBatch, router) },
-		},
-		{
-			workload: "kmeans", recordsPerTask: tputKMPoints, tasks: 768,
-			row:   func() { kmRowTask(kmFlat, kmCents) },
-			batch: func() { kmBatchTask(kmFlat, kmCentBatch) },
-		},
-	}
+	const prTasks = 192
 
 	rep.TargetsMet = true
-	for _, p := range pipes {
-		for _, par := range []int{1, 8} {
-			rowRPS, rowAPR := measureTput(par, p.tasks, p.recordsPerTask, p.row)
-			batchRPS, batchAPR := measureTput(par, p.tasks, p.recordsPerTask, p.batch)
-			e := tputEntry{
-				Workload:             p.workload,
-				Parallelism:          par,
-				RecordsPerTask:       p.recordsPerTask,
-				Tasks:                p.tasks,
-				RowRecordsPerSec:     rowRPS,
-				BatchRecordsPerSec:   batchRPS,
-				Speedup:              batchRPS / rowRPS,
-				RowAllocsPerRecord:   rowAPR,
-				BatchAllocsPerRecord: batchAPR,
-				AllocRatio:           rowAPR / batchAPR,
-			}
-			if e.Speedup < tputTargetSpeedup || e.AllocRatio < tputTargetAllocRatio {
-				rep.TargetsMet = false
-			}
-			rep.Entries = append(rep.Entries, e)
-			fmt.Printf("%-8s P%d  row %10.0f rec/s %7.2f allocs/rec   batch %10.0f rec/s %7.4f allocs/rec   speedup %5.2fx  allocs %6.1fx\n",
-				p.workload, par, rowRPS, rowAPR, batchRPS, batchAPR, e.Speedup, e.AllocRatio)
+	for _, par := range []int{1, 8} {
+		rowRPS, rowAPR := measureTput(par, prTasks, tputPRVerts, func() { prRowTask(prRecs) })
+		batchRPS, batchAPR := measureTput(par, prTasks, tputPRVerts, func() { prBatchTask(prBatch, router) })
+		e := tputEntry{
+			Workload:             "pr",
+			Parallelism:          par,
+			RecordsPerTask:       tputPRVerts,
+			Tasks:                prTasks,
+			RowRecordsPerSec:     rowRPS,
+			BatchRecordsPerSec:   batchRPS,
+			Speedup:              batchRPS / rowRPS,
+			RowAllocsPerRecord:   rowAPR,
+			BatchAllocsPerRecord: batchAPR,
+			AllocRatio:           rowAPR / batchAPR,
 		}
+		if e.Speedup < tputTargetSpeedup || e.AllocRatio < tputTargetAllocRatio {
+			rep.TargetsMet = false
+		}
+		rep.Entries = append(rep.Entries, e)
+		fmt.Printf("%-8s P%d  row %10.0f rec/s %7.2f allocs/rec   batch %10.0f rec/s %7.4f allocs/rec   speedup %5.2fx  allocs %6.1fx\n",
+			e.Workload, par, rowRPS, rowAPR, batchRPS, batchAPR, e.Speedup, e.AllocRatio)
 	}
 
-	// Bit-identity proof: full engine, row vs. vectorized, P1 and P8.
-	vecBefore := blaze.VecTasksExecuted()
-	rep.BitIdentical = true
+	// Full engine, default runs: P8 must be bit-identical to P1, and the
+	// stages with batch kernels must actually run columnar.
+	rep.P1P8Identical = true
 	for _, wl := range []blaze.WorkloadID{blaze.PR, blaze.KMeans} {
-		rowRes, rowLog := identityRun(wl, 1, false)
-		for _, par := range []int{1, 8} {
-			vecRes, vecLog := identityRun(wl, par, true)
-			id := tputIdentity{
-				Workload:     string(wl),
-				Parallelism:  par,
-				MetricsEqual: blaze.MetricsEqualDeterministic(rowRes.Metrics, vecRes.Metrics),
-				EventsEqual:  eventsEqual(rowLog, vecLog),
-			}
-			if !id.MetricsEqual || !id.EventsEqual {
-				rep.BitIdentical = false
-			}
-			rep.Identity = append(rep.Identity, id)
-			fmt.Printf("%-8s P%d  metrics-equal %v  events-equal %v\n", wl, par, id.MetricsEqual, id.EventsEqual)
+		vecBefore := blaze.VecTasksExecuted()
+		seqRes, seqLog := identityRun(wl, 1)
+		parRes, parLog := identityRun(wl, 8)
+		id := tputIdentity{
+			Workload:         string(wl),
+			MetricsEqual:     blaze.MetricsEqualDeterministic(seqRes.Metrics, parRes.Metrics),
+			EventsEqual:      eventsEqual(seqLog, parLog),
+			VecTasksExecuted: blaze.VecTasksExecuted() - vecBefore,
 		}
+		if !id.MetricsEqual || !id.EventsEqual {
+			rep.P1P8Identical = false
+		}
+		rep.VecTasksExecuted += id.VecTasksExecuted
+		rep.Identity = append(rep.Identity, id)
+		fmt.Printf("%-8s P1 vs P8  metrics-equal %v  events-equal %v  columnar tasks %d\n",
+			wl, id.MetricsEqual, id.EventsEqual, id.VecTasksExecuted)
 	}
-	rep.VecTasksExecuted = blaze.VecTasksExecuted() - vecBefore
 	if rep.VecTasksExecuted == 0 {
-		fmt.Fprintln(os.Stderr, "blazebench: vectorized runs executed zero columnar tasks; identity check is vacuous")
+		fmt.Fprintln(os.Stderr, "blazebench: default runs executed zero columnar tasks; no stage chose the columnar loop")
 		os.Exit(1)
 	}
 
@@ -336,8 +272,8 @@ func RunThroughputBench(path, cpuProfile, memProfile string) {
 		fmt.Fprintf(os.Stderr, "blazebench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("(targets: >=%.0fx records/s, >=%.0fx fewer allocs; met=%v; bit-identical=%v; %d columnar tasks; report written to %s)\n",
-		tputTargetSpeedup, tputTargetAllocRatio, rep.TargetsMet, rep.BitIdentical, rep.VecTasksExecuted, path)
+	fmt.Printf("(targets: >=%.0fx records/s, >=%.0fx fewer allocs; met=%v; P1/P8 identical=%v; %d columnar tasks; report written to %s)\n",
+		tputTargetSpeedup, tputTargetAllocRatio, rep.TargetsMet, rep.P1P8Identical, rep.VecTasksExecuted, path)
 
 	if memProfile != "" {
 		f, err := os.Create(memProfile)

@@ -503,6 +503,13 @@ type BatchFunc func(part int, ins []*Batch) *Batch
 // must be observationally identical to the row compute function: same
 // records, same order, bit-equal floats (accumulate in the same order).
 // Returns the dataset for chaining.
+//
+// Attaching a kernel moves every stage whose boundary is this dataset
+// onto the engine's columnar task loop (when the stage passes the
+// home-locality gate). The columnar loop re-boxes partitions at cache,
+// spill and collect boundaries, so it can lose end to end even when the
+// kernel itself is faster: add one only where the end-to-end benchmark
+// shows a win (on SVD++ and k-means it did not, so they have none).
 func (d *Dataset) WithBatchKernel(fn BatchFunc) *Dataset {
 	d.batchFn = fn
 	return d

@@ -245,16 +245,6 @@ type Config struct {
 	// sequential task subsequence), and only stages proven free of
 	// cross-executor effects run in parallel — see parallelEligible.
 	Parallelism int
-	// Vectorized enables the columnar task loop: stages proven isolated
-	// (the PR 3 home-locality gate, with spill-only-eviction semantics —
-	// a single task has no concurrent evictor, so memory hits are stable)
-	// move data between narrow operators as typed dataflow.Batch columns
-	// with pooled scratch instead of boxed Record slices. Purely a data-
-	// plane change: every virtual-time charge, controller callback and
-	// event is issued exactly as in the row loop, so metrics and event
-	// logs are bit-identical with the flag on or off, at any Parallelism
-	// and under faults (see vectorized.go and TestVectorizedIdentity).
-	Vectorized bool
 	// Resilience configures the scheduler's transient-failure machinery
 	// (task retries, speculative execution, blacklisting). The zero value
 	// selects the documented defaults.

@@ -54,8 +54,8 @@ type Stage struct {
 	// data (Spark's stage resubmission on missing shuffle files).
 	Regenerated bool
 	// vec marks this stage execution for the columnar task loop. Set
-	// once per execution in runStage (driver context) when the cluster
-	// is Vectorized and the stage passes the home-locality gate; the
+	// once per execution in runStage (driver context) when the boundary
+	// has a batch kernel and the stage passes the home-locality gate; the
 	// choice only swaps the data plane, never the charges or events.
 	vec bool
 }
@@ -272,16 +272,18 @@ func (c *Cluster) runStage(st *Stage) [][]dataflow.Record {
 		c.shuffle.Ensure(sid, st.NumBuckets, st.Boundary.Partitions())
 		taskParts = c.shuffle.MissingMaps(sid)
 	}
-	// Columnar eligibility reuses the PR 3 isolation gate. Spill-only
-	// semantics are correct here even for drop-on-evict controllers: a
-	// task has no concurrent evictor on its own executor, so a memory
-	// hit observed by the walk stays readable for that task. The gate
-	// keeps stages headed for mid-task shuffle regeneration on the row
-	// loop (fetchShuffleVec still handles the mid-stage-eviction edge
-	// case identically); either loop produces bit-identical metrics and
-	// events regardless — the gate is an engineering boundary, not a
-	// correctness one.
-	st.vec = c.cfg.Vectorized && !st.Regenerated && c.stageIsolated(st, taskParts, true)
+	// The stage picks its own loop: columnar when its boundary dataset
+	// has a batch kernel (a kernel is attached only where the columnar
+	// loop wins end to end), it is not a regeneration, and it passes the
+	// home-locality isolation gate. Spill-only semantics are correct in
+	// that gate even for drop-on-evict controllers: a task has no
+	// concurrent evictor on its own executor, so a memory hit observed by
+	// the walk stays readable for that task. The gate keeps stages headed
+	// for mid-task shuffle regeneration on the row loop (fetchShuffleVec
+	// still handles the mid-stage-eviction edge case identically); either
+	// loop produces bit-identical metrics and events regardless — the
+	// choice is an engineering boundary, not a correctness one.
+	st.vec = st.Boundary.HasBatchKernel() && !st.Regenerated && c.stageIsolated(st, taskParts, true)
 	// A stage recreating a shuffle an injected fault destroyed is
 	// recovery work, whether it runs nested (regeneration mid-task) or as
 	// a top-level stage the next job resubmitted; the core time the whole

@@ -1,22 +1,30 @@
 package engine
 
-// The columnar task loop. runTaskBodyVec / materializeVec /
-// fetchShuffleVec are line-for-line mirrors of runTaskBody /
-// materialize / fetchShuffle in scheduler.go with one difference: data
-// moves between narrow operators as typed *dataflow.Batch columns with
-// pooled backing arrays instead of boxed []dataflow.Record slices.
-// Every virtual-time charge, metrics increment, controller callback and
-// event is issued at the same point with the same arguments, and batch
-// kernels are required to be observationally identical to their row
-// compute functions (same records, same order, bit-equal floats), so a
-// vectorized run's metrics and event log are byte-equal to the row
-// run's. Block stores and the driver boundary stay row-typed: batches
-// are boxed exactly once when a partition is cached, spilled or
-// collected, and unboxed (copied) once on a cache hit.
+// The columnar task loop. runStage picks it per stage, with no user
+// setting: a stage runs here when its boundary dataset has a batch
+// kernel (Dataset.HasBatchKernel), it is not a regeneration, and it
+// passes the home-locality gate (stageIsolated); every other stage runs
+// the row loop. Kernels are attached only where the columnar loop wins
+// end to end (PageRank and streaming PageRank, plus the built-in
+// ReduceByKeyF64 combine), so the choice follows the workload.
+//
+// runTaskBodyVec / materializeVec / fetchShuffleVec are line-for-line
+// mirrors of runTaskBody / materialize / fetchShuffle in scheduler.go
+// with one difference: data moves between narrow operators as typed
+// *dataflow.Batch columns with pooled backing arrays instead of boxed
+// []dataflow.Record slices. Every virtual-time charge, metrics
+// increment, controller callback and event is issued at the same point
+// with the same arguments, and batch kernels are required to be
+// observationally identical to their row compute functions (same
+// records, same order, bit-equal floats), so a stage's metrics and
+// events are byte-equal whichever loop runs it. Block stores and the
+// driver boundary stay row-typed: batches are boxed exactly once when a
+// partition is cached, spilled or collected, and unboxed (copied) once
+// on a cache hit.
 //
 // When editing runTaskBody/materialize/fetchShuffle, mirror the change
-// here; TestVectorizedIdentity and the blazebench -throughput identity
-// check will catch a missed divergence.
+// here; the seed goldens in identity_golden_test.go (recorded on the row
+// loop) catch a missed divergence.
 
 import (
 	"sync/atomic"
@@ -29,9 +37,9 @@ import (
 )
 
 // vecTasksTotal counts tasks executed on the columnar loop across the
-// whole process. It exists so tests and blazebench can assert the
-// vectorized path actually engaged — by construction nothing in a run's
-// metrics or events reveals which loop ran.
+// whole process. It exists so tests and blazebench can assert which
+// loop ran — by construction nothing in a run's metrics or events
+// reveals it.
 var vecTasksTotal atomic.Int64
 
 // VecTasksExecuted returns the process-wide count of columnar tasks.

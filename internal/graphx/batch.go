@@ -1,8 +1,8 @@
 package graphx
 
-// Columnar payload columns and batch kernels for the graph workloads.
-// Each kernel is the vectorized twin of a row compute function in
-// pagerank.go / stream.go / svdpp.go and must stay observationally
+// Columnar payload columns and batch kernels for PageRank (batch and
+// streaming). Each kernel is the vectorized twin of a row compute
+// function in pagerank.go / stream.go and must stay observationally
 // identical to it: same records, same order, bit-equal floats (identical
 // accumulation order). Kernels type-assert their input columns and
 // return nil to decline, which drops the partition back onto the row
@@ -18,9 +18,6 @@ func init() {
 	})
 	dataflow.RegisterColumnType(VertexRank{}, func(capHint int) dataflow.Column {
 		return NewVertexRankColumn(capHint)
-	})
-	dataflow.RegisterColumnType(Factors{}, func(capHint int) dataflow.Column {
-		return NewFactorsColumn(capHint)
 	})
 }
 
@@ -153,65 +150,6 @@ func (c *VertexRankColumn) Release() {
 	dataflow.PutI32Slice(c.AdjOff)
 	dataflow.PutI64Slice(c.AdjFlat)
 	c.Ranks, c.AdjOff, c.AdjFlat = nil, nil, nil
-}
-
-// FactorsColumn stores Factors values as a flattened struct-of-arrays.
-type FactorsColumn struct {
-	Off  []int32
-	Flat []float64
-}
-
-// NewFactorsColumn returns an empty factor column with pooled storage.
-func NewFactorsColumn(capHint int) *FactorsColumn {
-	c := &FactorsColumn{Off: dataflow.GetI32Slice(capHint + 1), Flat: dataflow.GetF64Slice(capHint)}
-	c.Off = append(c.Off, 0)
-	return c
-}
-
-func (c *FactorsColumn) Len() int { return len(c.Off) - 1 }
-
-func (c *FactorsColumn) Value(i int) any {
-	lo, hi := c.Off[i], c.Off[i+1]
-	var v []float64
-	if lo != hi {
-		v = make([]float64, hi-lo)
-		copy(v, c.Flat[lo:hi])
-	}
-	return Factors{V: v}
-}
-
-func (c *FactorsColumn) AppendValue(v any) bool {
-	x, ok := v.(Factors)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, x.V...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *FactorsColumn) AppendFrom(src dataflow.Column, i int) bool {
-	s, ok := src.(*FactorsColumn)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, s.Flat[s.Off[i]:s.Off[i+1]]...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *FactorsColumn) SizeAt(i int) int64 { return 24 + 8*int64(c.Off[i+1]-c.Off[i]) }
-
-func (c *FactorsColumn) SizeBytes() int64 {
-	return 24*int64(c.Len()) + 8*int64(len(c.Flat))
-}
-
-func (c *FactorsColumn) NewEmpty(capHint int) dataflow.Column { return NewFactorsColumn(capHint) }
-
-func (c *FactorsColumn) Release() {
-	dataflow.PutI32Slice(c.Off)
-	dataflow.PutF64Slice(c.Flat)
-	c.Off, c.Flat = nil, nil
 }
 
 // --- PageRank kernels --------------------------------------------------
@@ -368,131 +306,4 @@ func f64Map(b *dataflow.Batch) (map[int64]float64, bool) {
 		m[k] = fc.Vals[i]
 	}
 	return m, true
-}
-
-// --- SVD++ kernels -----------------------------------------------------
-
-// factorsInitKernel vectorizes the factor bootstrap Map, which derives
-// each vector from the record key alone.
-func factorsInitKernel(rank int, salt uint64) dataflow.BatchFunc {
-	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
-		in := ins[0]
-		out := dataflow.NewBatch(in.Len())
-		out.NonNil = true
-		if in.Len() == 0 {
-			return out
-		}
-		oc := NewFactorsColumn(in.Len())
-		out.Col = oc
-		out.Keys = append(out.Keys, in.Keys...)
-		for _, k := range in.Keys {
-			oc.AppendValue(initFactors(k, rank, salt))
-		}
-		return out
-	}
-}
-
-// mergeFactorsKernel vectorizes the item-gradient ReduceByKey: same-key
-// factor vectors sum elementwise in arrival order, first-seen key order
-// preserved (mergeByKey's contract). Mismatched vector lengths fall back
-// to the boxed merge, which mirrors the row combiner exactly.
-func mergeFactorsKernel() dataflow.BatchFunc {
-	boxed := func(in *dataflow.Batch) *dataflow.Batch {
-		out := dataflow.FromRecords(dataflow.MergeByKey(in.Records(), func(a, b any) any {
-			av, bv := a.(Factors), b.(Factors)
-			sum := make([]float64, len(av.V))
-			for d := range sum {
-				sum[d] = av.V[d] + bv.V[d]
-			}
-			return Factors{V: sum}
-		}))
-		out.NonNil = true
-		return out
-	}
-	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
-		in := ins[0]
-		out := dataflow.NewBatch(in.Len())
-		out.NonNil = true // mergeByKey returns a non-nil slice
-		if in.Len() == 0 {
-			return out
-		}
-		fc, ok := in.Col.(*FactorsColumn)
-		if !ok {
-			out.Release()
-			return nil
-		}
-		oc := NewFactorsColumn(in.Len())
-		out.Col = oc
-		idx := make(map[int64]int, 64)
-		for i, k := range in.Keys {
-			lo, hi := fc.Off[i], fc.Off[i+1]
-			if j, seen := idx[k]; seen {
-				dlo, dhi := oc.Off[j], oc.Off[j+1]
-				if dhi-dlo != hi-lo {
-					out.Release()
-					return boxed(in)
-				}
-				dst := oc.Flat[dlo:dhi]
-				src := fc.Flat[lo:hi]
-				for d := range dst {
-					dst[d] += src[d]
-				}
-			} else {
-				idx[k] = len(out.Keys)
-				out.Keys = append(out.Keys, k)
-				oc.Flat = append(oc.Flat, fc.Flat[lo:hi]...)
-				oc.Off = append(oc.Off, int32(len(oc.Flat)))
-			}
-		}
-		return out
-	}
-}
-
-// factorsStepKernel vectorizes the item-factor Zip: each factor vector
-// is copied and, when a gradient exists for its key, stepped by
-// learnRate in place — the same order of operations as the row closure.
-func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
-	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
-		fs, gs := ins[0], ins[1]
-		var gc *FactorsColumn
-		if gs.Len() > 0 {
-			var ok bool
-			gc, ok = gs.Col.(*FactorsColumn)
-			if !ok {
-				return nil
-			}
-		}
-		grad := make(map[int64]int, gs.Len())
-		for i, k := range gs.Keys {
-			grad[k] = i
-		}
-		out := dataflow.NewBatch(fs.Len())
-		out.NonNil = true // row Zip body returns make([]Record, len(fs))
-		if fs.Len() == 0 {
-			return out
-		}
-		fc, ok := fs.Col.(*FactorsColumn)
-		if !ok {
-			out.Release()
-			return nil
-		}
-		oc := NewFactorsColumn(fs.Len())
-		out.Col = oc
-		for i, k := range fs.Keys {
-			lo, hi := fc.Off[i], fc.Off[i+1]
-			dlo := len(oc.Flat)
-			oc.Flat = append(oc.Flat, fc.Flat[lo:hi]...)
-			oc.Off = append(oc.Off, int32(len(oc.Flat)))
-			out.Keys = append(out.Keys, k)
-			if j, ok := grad[k]; ok {
-				glo := gc.Off[j]
-				nv := oc.Flat[dlo:]
-				g := gc.Flat[glo:gc.Off[j+1]]
-				for d := range nv {
-					nv[d] += learnRate * g[d]
-				}
-			}
-		}
-		return out
-	}
 }

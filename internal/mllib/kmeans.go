@@ -120,7 +120,7 @@ func KMeans(ctx *dataflow.Context, cfg KMeansConfig) ([][]float64, float64) {
 					}
 				}
 				return out
-			}).WithBatchKernel(statsKernel(spec.K))
+			})
 	}
 
 	prevCenters := make([][]float64, 0, spec.K)
@@ -214,7 +214,7 @@ func KMeans(ctx *dataflow.Context, cfg KMeansConfig) ([][]float64, float64) {
 				total += best
 			}
 			return []dataflow.Record{{Key: 0, Value: total}}
-		}).WithBatchKernel(wcssKernel(spec.K)).ReduceByKeyF64("km-wcss-agg@0", 1, func(a, b float64) float64 {
+		}).ReduceByKeyF64("km-wcss-agg@0", 1, func(a, b float64) float64 {
 		return a + b
 	})
 	var total float64

@@ -116,7 +116,7 @@ func KMeansStream(cfg KMeansStreamConfig) func(ctx *dataflow.Context, window int
 						}
 					}
 					return out
-				}).WithBatchKernel(statsKernel(spec.K))
+				})
 			agg := stats.ReduceByKey(name("skm-agg", it), 1, func(a, b any) any {
 				av, bv := a.(sumCount), b.(sumCount)
 				sum := make([]float64, len(av.Sum))

@@ -121,9 +121,6 @@ type JobSpec struct {
 	// Parallelism overrides Config.Parallelism for this session when
 	// positive.
 	Parallelism int
-	// Vectorized runs the session's eligible stages on the engine's
-	// columnar task loop; virtual-time metrics and events are unchanged.
-	Vectorized bool
 }
 
 // tenantState is the server's per-tenant bookkeeping.
@@ -720,7 +717,6 @@ func (sess *Session) run() {
 		EventLog:    sess.spec.EventLog,
 		Hook:        sess.spec.Hook,
 		Parallelism: par,
-		Vectorized:  sess.spec.Vectorized,
 		Resilience:  sess.spec.Resilience,
 		Pool:        s.pool,
 		Gate:        s,

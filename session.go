@@ -42,10 +42,6 @@ type SessionConfig struct {
 	// Parallelism is the engine's OS-level worker count; it changes only
 	// wall-clock time, never metrics or event logs.
 	Parallelism int
-	// Vectorized runs eligible stages on the columnar task loop; like
-	// Parallelism it changes only wall-clock time, never metrics or
-	// event logs.
-	Vectorized bool
 	// MemoryPerExecutor fixes the memory-store capacity and must be
 	// positive: a session hosts arbitrary window DAGs, so there is no
 	// single workload to calibrate against (same rule as ServerConfig).
@@ -286,7 +282,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		AlluxioMode: sys.alluxio,
 		EventLog:    cfg.EventLog,
 		Parallelism: cfg.Parallelism,
-		Vectorized:  cfg.Vectorized,
 	})
 	if err != nil {
 		srv.Close()
@@ -362,7 +357,6 @@ func ResumeSession(cfg SessionConfig) (*Session, error) {
 		AlluxioMode: sys.alluxio,
 		EventLog:    cfg.EventLog,
 		Parallelism: cfg.Parallelism,
-		Vectorized:  cfg.Vectorized,
 	})
 	if err != nil {
 		srv.Close()
