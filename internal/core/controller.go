@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -432,9 +430,6 @@ func (b *Controller) refsInWindow(n *Node) int {
 	return refs
 }
 
-// debugPlace enables placement tracing for diagnostics.
-var debugPlace = os.Getenv("BLAZE_DEBUG_PLACE") != ""
-
 // PlaceComputed implements the automatic caching decision (§4.1): cache
 // only partitions with future references, and with ILP enabled, cache in
 // memory only when the partition's potential recovery cost beats the
@@ -471,12 +466,7 @@ func (b *Controller) PlaceComputed(ex *engine.Executor, ds *dataflow.Dataset, pa
 	if freed >= size-ex.Mem.Free() && victimCost < newCost {
 		return engine.PlaceMemory, b.offMemoryPlacement(est, ds.ID(), part)
 	}
-	off := b.offMemoryPlacement(est, ds.ID(), part)
-	if debugPlace {
-		fmt.Fprintf(os.Stderr, "PLACE-OFF %s p%d -> %v (newCost=%v victimCost=%v freed=%d size=%d free=%d job=%d stage=%d)\n",
-			ds.Name(), part, off, newCost, victimCost, freed, size, ex.Mem.Free(), b.curJob, b.curStageIdx)
-	}
-	return off, engine.PlaceNone
+	return b.offMemoryPlacement(est, ds.ID(), part), engine.PlaceNone
 }
 
 // diskBudgetAllows enforces the optional per-executor disk capacity

@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the columnar batch representation used by the
-// engine's vectorized task loop. A Batch stores one partition as a
+// engine's columnar data plane. A Batch stores one partition as a
 // dense key column plus a typed value column, so narrow operator chains
 // can run as flat loops without boxing one Record interface value per
 // element. The row representation remains the source of truth at every
@@ -505,11 +505,11 @@ type BatchFunc func(part int, ins []*Batch) *Batch
 // Returns the dataset for chaining.
 //
 // Attaching a kernel moves every stage whose boundary is this dataset
-// onto the engine's columnar task loop (when the stage passes the
-// home-locality gate). The columnar loop re-boxes partitions at cache,
-// spill and collect boundaries, so it can lose end to end even when the
-// kernel itself is faster: add one only where the end-to-end benchmark
-// shows a win (on SVD++ and k-means it did not, so they have none).
+// onto the engine's columnar data plane. The columnar plane re-boxes
+// partitions at cache, spill and collect boundaries, so it can lose end
+// to end even when the kernel itself is faster: add one only where the
+// end-to-end benchmark shows a win (on SVD++ and k-means it did not, so
+// they have none).
 func (d *Dataset) WithBatchKernel(fn BatchFunc) *Dataset {
 	d.batchFn = fn
 	return d

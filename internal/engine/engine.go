@@ -30,9 +30,6 @@ import (
 	"blaze/internal/storage"
 )
 
-// debugEvict enables eviction tracing for diagnostics.
-var debugEvict = os.Getenv("BLAZE_DEBUG_EVICT") != ""
-
 // realDecodeCacheBlocks bounds the per-executor decode cache in
 // RealBytes mode (outside AlluxioMode): the most recently read decoded
 // partitions kept to amortize hot re-reads within a stage.
@@ -1076,9 +1073,6 @@ func (c *Cluster) SpillBlock(ex *Executor, id storage.BlockID) bool {
 	if !ok {
 		return false
 	}
-	if debugEvict {
-		fmt.Fprintf(os.Stderr, "SPILL ex=%d %v ds=%s size=%d job=%d\n", ex.ID, id, c.ctx.Dataset(id.Dataset).Name(), size, c.curJob)
-	}
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockSpilled, Time: ex.Clock().Now(), Job: c.curJob,
 		Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: size})
 	c.ctl.OnBlockRemoved(ex, id)
@@ -1142,9 +1136,6 @@ func (c *Cluster) dropFromMemory(ex *Executor, id storage.BlockID) bool {
 	_, size, ok := ex.Mem.Remove(id)
 	if !ok {
 		return false
-	}
-	if debugEvict {
-		fmt.Fprintf(os.Stderr, "DROP  ex=%d %v ds=%s size=%d job=%d\n", ex.ID, id, c.ctx.Dataset(id.Dataset).Name(), size, c.curJob)
 	}
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockDropped, Time: ex.Clock().Now(), Job: c.curJob,
 		Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: size})

@@ -40,42 +40,56 @@ func shuffledPair(t *testing.T, ctx *dataflow.Context, name string, parts int) (
 	return nil, dataflow.Dependency{}
 }
 
+// fetchOnPlanes fetches bucket 0 of a one-partition shuffle mid-task on
+// each data plane, so the regeneration tests cover both task bodies.
+var fetchOnPlanes = []struct {
+	name  string
+	fetch func(c *Cluster, ex *Executor, dep dataflow.Dependency)
+}{
+	{"rows", func(c *Cluster, ex *Executor, dep dataflow.Dependency) { fetchShuffleOn(c, rows{}, ex, dep, 1, 0) }},
+	{"columns", func(c *Cluster, ex *Executor, dep dataflow.Dependency) { fetchShuffleOn(c, columns{}, ex, dep, 1, 0) }},
+}
+
 // TestRegenerationPreservesActiveCore is the regression test for the
 // core-index clobbering bug: a nested regenerated stage picks its own
 // cores via PickCore, and before the fix it left ex.cur pointing at the
 // nested task's core, so the outer task's remaining costs landed on the
 // wrong clock.
 func TestRegenerationPreservesActiveCore(t *testing.T) {
-	ctx := dataflow.NewContext()
-	c, err := NewCluster(Config{
-		Executors:         1,
-		CoresPerExecutor:  2,
-		MemoryPerExecutor: 1 << 20,
-		Params:            costmodel.Default(),
-		Controller:        NewSparkMemOnly(),
-	}, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, dep := shuffledPair(t, ctx, "rc", 1)
-	_ = red
-	c.shuffle.Clean(dep.ShuffleID)
+	for _, pl := range fetchOnPlanes {
+		t.Run(pl.name, func(t *testing.T) {
+			ctx := dataflow.NewContext()
+			c, err := NewCluster(Config{
+				Executors:         1,
+				CoresPerExecutor:  2,
+				MemoryPerExecutor: 1 << 20,
+				Params:            costmodel.Default(),
+				Controller:        NewSparkMemOnly(),
+			}, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, dep := shuffledPair(t, ctx, "rc", 1)
+			c.shuffle.Clean(dep.ShuffleID)
 
-	ex := c.execs[0]
-	// Put the outer task on core 0 and make core 1 the least loaded, so
-	// the nested regeneration task will pick core 1.
-	ex.cores[0].Advance(time.Millisecond)
-	ex.cur = 0
-	before1 := ex.cores[1].Now()
+			ex := c.execs[0]
+			// Put the outer task on core 0 and make core 1 the least
+			// loaded, so the nested regeneration task will pick core 1.
+			ex.cores[0].Advance(time.Millisecond)
+			ex.cur = 0
+			before1 := ex.cores[1].Now()
 
-	// Fetching the cleaned shuffle regenerates the map stage mid-"task".
-	c.fetchShuffle(ex, dep, 1, 0)
+			// Fetching the cleaned shuffle regenerates the map stage
+			// mid-"task".
+			pl.fetch(c, ex, dep)
 
-	if ex.cores[1].Now() == before1 {
-		t.Fatal("setup broken: nested regeneration did not run on core 1")
-	}
-	if ex.cur != 0 {
-		t.Fatalf("regeneration clobbered the active core: cur = %d, want 0", ex.cur)
+			if ex.cores[1].Now() == before1 {
+				t.Fatal("setup broken: nested regeneration did not run on core 1")
+			}
+			if ex.cur != 0 {
+				t.Fatalf("regeneration clobbered the active core: cur = %d, want 0", ex.cur)
+			}
+		})
 	}
 }
 
@@ -83,31 +97,137 @@ func TestRegenerationPreservesActiveCore(t *testing.T) {
 // mid-task barrier bug: before the fix, the nested runStage synchronized
 // every executor to the global max clock in the middle of the outer task.
 func TestRegeneratedStageSkipsGlobalBarrier(t *testing.T) {
-	ctx := dataflow.NewContext()
-	c, err := NewCluster(Config{
-		Executors:         2,
-		MemoryPerExecutor: 1 << 20,
-		Params:            costmodel.Default(),
-		Controller:        NewSparkMemOnly(),
-	}, ctx)
-	if err != nil {
-		t.Fatal(err)
+	for _, pl := range fetchOnPlanes {
+		t.Run(pl.name, func(t *testing.T) {
+			ctx := dataflow.NewContext()
+			c, err := NewCluster(Config{
+				Executors:         2,
+				MemoryPerExecutor: 1 << 20,
+				Params:            costmodel.Default(),
+				Controller:        NewSparkMemOnly(),
+			}, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One partition: all tasks of the regenerated stage live on
+			// executor 0.
+			_, dep := shuffledPair(t, ctx, "rb", 1)
+			c.shuffle.Clean(dep.ShuffleID)
+
+			// Push executor 1 far ahead; a leaked barrier would drag
+			// executor 0 to this clock mid-task.
+			far := time.Hour
+			c.execs[1].SyncTo(far)
+
+			ex := c.execs[0]
+			ex.PickCore()
+			pl.fetch(c, ex, dep)
+
+			if got := ex.MaxClock(); got >= far {
+				t.Fatalf("regenerated stage applied the global barrier: executor 0 at %v", got)
+			}
+		})
 	}
-	// One partition: all tasks of the regenerated stage live on executor 0.
-	_, dep := shuffledPair(t, ctx, "rb", 1)
-	c.shuffle.Clean(dep.ShuffleID)
+}
 
-	// Push executor 1 far ahead; a leaked barrier would drag executor 0
-	// to this clock mid-task.
-	far := time.Hour
-	c.execs[1].SyncTo(far)
+// TestRegeneratedKernelStageRunsColumnar checks that a stage regenerated
+// mid-task picks its plane like any other stage: its map boundary has a
+// batch kernel, so its tasks run on columns, and every clock, metric and
+// event equals that of a twin whose boundary has no kernel.
+func TestRegeneratedKernelStageRunsColumnar(t *testing.T) {
+	const parts = 4
+	type outcome struct {
+		vecTasks int64
+		clocks   []time.Duration
+		met      *metrics.App
+		events   []eventlog.Event
+	}
+	run := func(kernel bool) outcome {
+		ctx := dataflow.NewContext()
+		log := eventlog.New()
+		c, err := NewCluster(Config{
+			Executors:         2,
+			CoresPerExecutor:  2,
+			MemoryPerExecutor: 1 << 20,
+			Params:            costmodel.Default(),
+			Controller:        NewSparkMemOnly(),
+			EventLog:          log,
+		}, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := ctx.Source("rk-src@0", parts, func(part int) []dataflow.Record {
+			var out []dataflow.Record
+			for i := part; i < parts*10; i += parts {
+				out = append(out, dataflow.Record{Key: int64(i % 7), Value: float64(i)})
+			}
+			return out
+		})
+		dbl := src.Map("rk-dbl@0", func(r dataflow.Record) dataflow.Record {
+			return dataflow.Record{Key: r.Key, Value: 2 * r.Value.(float64)}
+		})
+		if kernel {
+			dbl.WithBatchKernel(func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
+				fc, ok := ins[0].Col.(*dataflow.F64Column)
+				if !ok {
+					return nil // decline: the row function runs instead
+				}
+				out := dataflow.NewBatch(ins[0].Len())
+				out.NonNil = true // Map returns a non-nil slice
+				oc := dataflow.NewF64Column(ins[0].Len())
+				out.Col = oc
+				for i, k := range ins[0].Keys {
+					out.Keys = append(out.Keys, k)
+					oc.Vals = append(oc.Vals, 2*fc.Vals[i])
+				}
+				return out
+			})
+		}
+		red := dbl.ReduceByKeyF64("rk-red@0", parts, func(a, b float64) float64 { return a + b })
+		red.Count()
+		dep := red.Deps()[0]
+		c.shuffle.Clean(dep.ShuffleID)
 
-	ex := c.execs[0]
-	ex.PickCore()
-	c.fetchShuffle(ex, dep, 1, 0)
+		ex := c.execs[0]
+		ex.PickCore()
+		before := VecTasksExecuted()
+		recs, _ := fetchShuffleOn(c, rows{}, ex, dep, parts, 0)
+		if len(recs) == 0 {
+			t.Fatal("setup broken: regenerated bucket 0 is empty")
+		}
+		o := outcome{vecTasks: VecTasksExecuted() - before, met: c.Metrics(), events: log.Events()}
+		for _, e := range c.execs {
+			for i := range e.cores {
+				o.clocks = append(o.clocks, e.cores[i].Now())
+			}
+		}
+		return o
+	}
 
-	if got := ex.MaxClock(); got >= far {
-		t.Fatalf("regenerated stage applied the global barrier: executor 0 at %v", got)
+	withKernel, plain := run(true), run(false)
+	if withKernel.vecTasks != parts {
+		t.Errorf("regenerated kernel stage ran %d columnar tasks, want %d", withKernel.vecTasks, parts)
+	}
+	if plain.vecTasks != 0 {
+		t.Errorf("regenerated stage without a kernel ran %d columnar tasks, want 0", plain.vecTasks)
+	}
+	regen := 0
+	for _, e := range withKernel.events {
+		if e.Kind == eventlog.StageEnd && e.Regen {
+			regen++
+		}
+	}
+	if regen != 1 {
+		t.Fatalf("setup broken: %d regenerated stages, want 1", regen)
+	}
+	if !reflect.DeepEqual(withKernel.clocks, plain.clocks) {
+		t.Errorf("core clocks differ:\nkernel: %v\nplain:  %v", withKernel.clocks, plain.clocks)
+	}
+	if !metrics.EqualDeterministic(withKernel.met, plain.met) {
+		t.Errorf("metrics differ:\nkernel: %+v\nplain:  %+v", withKernel.met, plain.met)
+	}
+	if !reflect.DeepEqual(withKernel.events, plain.events) {
+		t.Errorf("event logs differ (%d vs %d events)", len(withKernel.events), len(plain.events))
 	}
 }
 

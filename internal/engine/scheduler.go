@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -53,11 +51,6 @@ type Stage struct {
 	// Regenerated marks stages re-run mid-job to recover cleaned shuffle
 	// data (Spark's stage resubmission on missing shuffle files).
 	Regenerated bool
-	// vec marks this stage execution for the columnar task loop. Set
-	// once per execution in runStage (driver context) when the boundary
-	// has a batch kernel and the stage passes the home-locality gate; the
-	// choice only swaps the data plane, never the charges or events.
-	vec bool
 }
 
 // shuffleRef pairs a shuffle dependency with the dataset that owns it,
@@ -171,17 +164,6 @@ func (c *Cluster) RunJob(target *dataflow.Dataset, action string) [][]dataflow.R
 	}
 	c.beginJob()
 	defer c.endJob()
-	if debugEvict {
-		missing := []int{}
-		for p := 0; p < target.Partitions(); p++ {
-			ex := c.ExecutorFor(p)
-			id := storage.BlockID{Dataset: target.ID(), Partition: p}
-			if !ex.Mem.Contains(id) && !ex.Disk.Contains(id) {
-				missing = append(missing, p)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "JOB %d target=%s missing=%v\n", c.jobSeq, target.Name(), missing)
-	}
 	job := c.buildJob(target)
 	c.jobSeq++
 	c.curJob = job.ID
@@ -272,18 +254,6 @@ func (c *Cluster) runStage(st *Stage) [][]dataflow.Record {
 		c.shuffle.Ensure(sid, st.NumBuckets, st.Boundary.Partitions())
 		taskParts = c.shuffle.MissingMaps(sid)
 	}
-	// The stage picks its own loop: columnar when its boundary dataset
-	// has a batch kernel (a kernel is attached only where the columnar
-	// loop wins end to end), it is not a regeneration, and it passes the
-	// home-locality isolation gate. Spill-only semantics are correct in
-	// that gate even for drop-on-evict controllers: a task has no
-	// concurrent evictor on its own executor, so a memory hit observed by
-	// the walk stays readable for that task. The gate keeps stages headed
-	// for mid-task shuffle regeneration on the row loop (fetchShuffleVec
-	// still handles the mid-stage-eviction edge case identically); either
-	// loop produces bit-identical metrics and events regardless — the
-	// choice is an engineering boundary, not a correctness one.
-	st.vec = st.Boundary.HasBatchKernel() && !st.Regenerated && c.stageIsolated(st, taskParts, true)
 	// A stage recreating a shuffle an injected fault destroyed is
 	// recovery work, whether it runs nested (regeneration mid-task) or as
 	// a top-level stage the next job resubmitted; the core time the whole
@@ -477,7 +447,13 @@ func (c *Cluster) runTask(ex *Executor, st *Stage, part int) []dataflow.Record {
 		}
 	}
 	start := ex.Clock().Now()
-	recs := c.runTaskBody(ex, st, part)
+	var recs []dataflow.Record
+	if st.Boundary.HasBatchKernel() {
+		vecTasksTotal.Add(1)
+		recs = runTaskOn(c, columns{}, ex, st, part)
+	} else {
+		recs = runTaskOn(c, rows{}, ex, st, part)
+	}
 	c.applyStraggler(ex, st, part, start)
 	if c.taskHook != nil {
 		c.taskHook.OnTaskEnd(c, ex, st, part)
@@ -587,48 +563,58 @@ func (c *Cluster) speculationTarget(ex *Executor) (*Executor, *costmodel.Clock) 
 	return best, bestClock
 }
 
-// runTaskBody materializes one partition of the stage boundary and, for
-// map stages, writes the shuffle output.
-func (c *Cluster) runTaskBody(ex *Executor, st *Stage, part int) []dataflow.Record {
-	if st.vec {
-		return c.runTaskBodyVec(ex, st, part)
-	}
+// runTaskOn materializes one partition of the stage boundary on the
+// plane pl and, for map stages, writes the shuffle output. The result
+// stage returns rows (the driver boundary); map stages return nil
+// because runStage ignores map-task results.
+func runTaskOn[P any](c *Cluster, pl plane[P], ex *Executor, st *Stage, part int) []dataflow.Record {
 	ex.Clock().Advance(c.cfg.Params.TaskOverhead)
 	c.met.Executors[ex.ID].Tasks++
-	recs := c.materialize(ex, st.Boundary, part)
+	out := materializeOn(c, pl, ex, st.Boundary, part)
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.TaskEnd, Time: ex.Clock().Now(), Job: c.curJob,
 		Stage: st.ID, Executor: ex.ID, Dataset: st.Boundary.ID(), Partition: part})
 	if st.IsResult {
+		recs := pl.records(out)
+		pl.release(out)
 		return recs
 	}
 
 	dep := st.ShuffleDep
-	buckets := make([][]dataflow.Record, st.NumBuckets)
+	buckets := make([]P, st.NumBuckets)
 	if dep.Broadcast {
+		// Every bucket shares the one output; the shuffle service retains
+		// it, so it is not released below.
 		for b := range buckets {
-			buckets[b] = recs
+			buckets[b] = out
 		}
 	} else {
-		for _, r := range recs {
-			b := dataflow.HashPartition(r.Key, st.NumBuckets)
-			buckets[b] = append(buckets[b], r)
+		router, ok := c.shuffle.Router(dep.ShuffleID)
+		if !ok {
+			router = dataflow.NewRouter(st.NumBuckets)
 		}
+		pl.route(out, router, buckets)
 	}
 	bucketBytes := make([]int64, st.NumBuckets)
 	var written int64
-	for b, brs := range buckets {
-		if len(brs) == 0 {
-			continue
+	for b := range buckets {
+		if pl.length(buckets[b]) == 0 {
+			continue // an empty bucket writes 0 bytes, not an empty partition's 24
 		}
 		if dep.Combine != nil {
-			brs = dataflow.MergeByKey(brs, dep.Combine)
-			buckets[b] = brs
+			buckets[b] = pl.combine(buckets[b], dep)
 		}
-		size := storage.EstimateRecords(brs)
+		size := pl.size(buckets[b])
 		bucketBytes[b] = size
 		written += size
 	}
-	if err := c.shuffle.SetMapOutput(dep.ShuffleID, part, ex.ID, buckets, bucketBytes); err != nil {
+	if !dep.Broadcast {
+		// Released only after the combines: a merged bucket, which the
+		// shuffle service keeps, would otherwise take the output's large
+		// pooled slice, and later large Gets would find only small slices,
+		// which they drop.
+		pl.release(out)
+	}
+	if err := pl.setMapOutput(c.shuffle, dep.ShuffleID, part, ex.ID, buckets, bucketBytes); err != nil {
 		panic(err) // stage was Ensure'd and only missing maps re-run
 	}
 	// Shuffle write cost: serialization dominates (shuffle files land in
@@ -638,13 +624,14 @@ func (c *Cluster) runTaskBody(ex *Executor, st *Stage, part int) []dataflow.Reco
 	cost := c.cfg.Params.Serialize(written)
 	ex.Clock().Advance(cost)
 	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
-	return recs
+	return nil
 }
 
-// materialize produces the records of (ds, part) on the executor:
-// memory hit, disk hit, or recursive recomputation from parents — the
-// three recovery paths of Fig. 2.
-func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) []dataflow.Record {
+// materializeOn produces partition (ds, part) on the executor: memory
+// hit, disk hit, or recursive recomputation from parents — the three
+// recovery paths of Fig. 2. A recomputed partition is boxed into the
+// row-typed stores at most once, and only if the controller places it.
+func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Dataset, part int) P {
 	id := storage.BlockID{Dataset: ds.ID(), Partition: part}
 	params := c.cfg.Params
 	stats := &c.met.Executors[ex.ID]
@@ -663,7 +650,7 @@ func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) []da
 		c.ctl.OnBlockAccess(ex, id)
 		c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockHit, Time: ex.Clock().Now(), Job: c.curJob,
 			Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: meta.Size})
-		return recs
+		return pl.fromRecords(recs)
 	}
 
 	// 2. Disk store.
@@ -682,32 +669,32 @@ func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) []da
 			// promoted block therefore pays no second write.
 			c.admitToMemory(ex, id, recs, size)
 		}
-		return recs
+		return pl.fromRecords(recs)
 	}
 
 	// 3. Recompute from parents.
 	c.mu.Lock()
 	wasComputed := c.computedOnce[id]
 	c.mu.Unlock()
-	ins := make([][]dataflow.Record, len(ds.Deps()))
+	ins := make([]P, len(ds.Deps()))
 	totalIn := 0
 	var fetchCost time.Duration
 	for i, dep := range ds.Deps() {
 		if dep.Shuffle {
 			var fc time.Duration
-			ins[i], fc = c.fetchShuffle(ex, dep, ds.Partitions(), part)
+			ins[i], fc = fetchShuffleOn(c, pl, ex, dep, ds.Partitions(), part)
 			fetchCost += fc
 		} else {
-			ins[i] = c.materialize(ex, dep.Parent, part)
+			ins[i] = materializeOn(c, pl, ex, dep.Parent, part)
 		}
-		totalIn += len(ins[i])
+		totalIn += pl.length(ins[i])
 	}
-	out := ds.Compute(part, ins)
+	out := pl.compute(ds, part, ins)
 	n := totalIn
-	if len(out) > n {
-		n = len(out)
+	if l := pl.length(out); l > n {
+		n = l
 	}
-	size := storage.EstimateRecords(out)
+	size := pl.size(out)
 	cost := params.Compute(costmodel.OpClass(ds.Class()), n)
 	if len(ds.Deps()) == 0 {
 		// Source partitions additionally pay the external input scan.
@@ -745,12 +732,17 @@ func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) []da
 	c.ctl.OnComputed(ex, ds, part, size, cost+fetchCost)
 
 	primary, fallback := c.ctl.PlaceComputed(ex, ds, part, size)
+	var recs []dataflow.Record
 	placed := false
 	if primary == PlaceMemory {
-		placed = c.admitToMemory(ex, id, out, size)
+		recs = pl.records(out)
+		placed = c.admitToMemory(ex, id, recs, size)
 	}
 	if !placed && (primary == PlaceDisk || (primary == PlaceMemory && fallback == PlaceDisk)) {
-		c.writeToDisk(ex, id, out, size)
+		if recs == nil {
+			recs = pl.records(out)
+		}
+		c.writeToDisk(ex, id, recs, size)
 	}
 	return out
 }
@@ -817,27 +809,12 @@ func (c *Cluster) writeToDisk(ex *Executor, id storage.BlockID, recs []dataflow.
 	c.noteDiskWrite(ex, size)
 }
 
-// fetchShuffle reads one reduce bucket, regenerating the parent stage if
-// the shuffle outputs were cleaned. It returns the records and the direct
-// fetch cost (excluding any regeneration, which is charged to its own
-// stage's tasks, and excluding transient fetch-flake backoff, which must
-// not pollute the incremental cost estimates controllers build on).
-func (c *Cluster) fetchShuffle(ex *Executor, dep dataflow.Dependency, childParts, part int) ([]dataflow.Record, time.Duration) {
-	c.fetchShufflePrologue(ex, dep, childParts, part)
-	recs, bytes, err := c.shuffle.Fetch(dep.ShuffleID, part)
-	if err != nil {
-		panic(err) // regeneration above guarantees completeness
-	}
-	cost := c.cfg.Params.NetTransfer(bytes) + c.cfg.Params.Serialize(bytes)
-	ex.Clock().Advance(cost)
-	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
-	return recs, cost
-}
-
-// fetchShufflePrologue regenerates a cleaned shuffle and charges any
-// injected transient fetch flakes. It is shared by the row and columnar
-// fetch paths so their charge and event sequences are identical.
-func (c *Cluster) fetchShufflePrologue(ex *Executor, dep dataflow.Dependency, childParts, part int) {
+// fetchShuffleOn reads one reduce bucket, regenerating the parent stage
+// if the shuffle outputs were cleaned. It returns the bucket and the
+// direct fetch cost (excluding any regeneration, which is charged to its
+// own stage's tasks, and excluding transient fetch-flake backoff, which
+// must not pollute the incremental cost estimates controllers build on).
+func fetchShuffleOn[P any](c *Cluster, pl plane[P], ex *Executor, dep dataflow.Dependency, childParts, part int) (P, time.Duration) {
 	if !c.shuffle.Complete(dep.ShuffleID) {
 		c.regenerateShuffle(dep, childParts)
 	}
@@ -860,6 +837,14 @@ func (c *Cluster) fetchShufflePrologue(ex *Executor, dep dataflow.Dependency, ch
 				Executor: ex.ID, Shuffle: dep.ShuffleID, Partition: part, Attempt: attempt, Cost: backoff})
 		}
 	}
+	bucket, bytes, err := pl.fetch(c.shuffle, dep.ShuffleID, part)
+	if err != nil {
+		panic(err) // regeneration above guarantees completeness
+	}
+	cost := c.cfg.Params.NetTransfer(bytes) + c.cfg.Params.Serialize(bytes)
+	ex.Clock().Advance(cost)
+	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
+	return bucket, cost
 }
 
 // regenerateShuffle re-runs the map stage for a cleaned shuffle — the

@@ -1,258 +1,151 @@
 package engine
 
-// The columnar task loop. runStage picks it per stage, with no user
-// setting: a stage runs here when its boundary dataset has a batch
-// kernel (Dataset.HasBatchKernel), it is not a regeneration, and it
-// passes the home-locality gate (stageIsolated); every other stage runs
-// the row loop. Kernels are attached only where the columnar loop wins
-// end to end (PageRank and streaming PageRank, plus the built-in
-// ReduceByKeyF64 combine), so the choice follows the workload.
+// The two data planes of the task body. runTaskOn, materializeOn and
+// fetchShuffleOn (scheduler.go) are written once over a plane: they
+// issue every virtual-time charge, metrics increment, controller
+// callback, fault-recovery attribution and event, and the plane only
+// decides how a partition is held between operators. rows holds boxed
+// []dataflow.Record slices; columns holds typed *dataflow.Batch columns
+// with pooled backing arrays.
 //
-// runTaskBodyVec / materializeVec / fetchShuffleVec are line-for-line
-// mirrors of runTaskBody / materialize / fetchShuffle in scheduler.go
-// with one difference: data moves between narrow operators as typed
-// *dataflow.Batch columns with pooled backing arrays instead of boxed
-// []dataflow.Record slices. Every virtual-time charge, metrics
-// increment, controller callback and event is issued at the same point
-// with the same arguments, and batch kernels are required to be
-// observationally identical to their row compute functions (same
-// records, same order, bit-equal floats), so a stage's metrics and
-// events are byte-equal whichever loop runs it. Block stores and the
-// driver boundary stay row-typed: batches are boxed exactly once when a
-// partition is cached, spilled or collected, and unboxed (copied) once
-// on a cache hit.
-//
-// When editing runTaskBody/materialize/fetchShuffle, mirror the change
-// here; the seed goldens in identity_golden_test.go (recorded on the row
-// loop) catch a missed divergence.
+// A task runs on columns exactly when its stage boundary has a batch
+// kernel (Dataset.HasBatchKernel); there is no user setting. Kernels are
+// attached only where columns win end to end (PageRank and streaming
+// PageRank, plus the built-in ReduceByKeyF64 combine), so the choice
+// follows the workload. Batch kernels must be observationally identical
+// to their row compute functions (same records, same order, bit-equal
+// floats) and Batch.EstimateSize equals EstimateRecords on the same
+// rows, so a stage's metrics and events are byte-equal on either plane;
+// the seed goldens in identity_golden_test.go, recorded on rows, pin it.
+// Block stores and the driver boundary stay row-typed: batches are boxed
+// once when a partition is cached, spilled or collected, and unboxed
+// (copied) once on a cache hit.
 
 import (
 	"sync/atomic"
-	"time"
 
-	"blaze/internal/costmodel"
 	"blaze/internal/dataflow"
-	"blaze/internal/eventlog"
+	"blaze/internal/shuffle"
 	"blaze/internal/storage"
 )
 
-// vecTasksTotal counts tasks executed on the columnar loop across the
+// vecTasksTotal counts tasks executed on the columnar plane across the
 // whole process. It exists so tests and blazebench can assert which
-// loop ran — by construction nothing in a run's metrics or events
+// plane ran — by construction nothing in a run's metrics or events
 // reveals it.
 var vecTasksTotal atomic.Int64
 
 // VecTasksExecuted returns the process-wide count of columnar tasks.
 func VecTasksExecuted() int64 { return vecTasksTotal.Load() }
 
-// runTaskBodyVec is runTaskBody on the columnar data plane. The result
-// stage still returns rows (the driver boundary); map stages return nil
-// because runStage ignores map-task results.
-func (c *Cluster) runTaskBodyVec(ex *Executor, st *Stage, part int) []dataflow.Record {
-	vecTasksTotal.Add(1)
-	ex.Clock().Advance(c.cfg.Params.TaskOverhead)
-	c.met.Executors[ex.ID].Tasks++
-	out := c.materializeVec(ex, st.Boundary, part)
-	c.emitEx(ex, eventlog.Event{Kind: eventlog.TaskEnd, Time: ex.Clock().Now(), Job: c.curJob,
-		Stage: st.ID, Executor: ex.ID, Dataset: st.Boundary.ID(), Partition: part})
-	if st.IsResult {
-		recs := out.Records()
-		out.Release()
-		return recs
-	}
-
-	dep := st.ShuffleDep
-	batches := make([]*dataflow.Batch, st.NumBuckets)
-	if dep.Broadcast {
-		// Every bucket shares the one output batch; the shuffle service
-		// retains it, so it is not released below.
-		for b := range batches {
-			batches[b] = out
-		}
-	} else {
-		router, ok := c.shuffle.Router(dep.ShuffleID)
-		if !ok {
-			router = dataflow.NewRouter(st.NumBuckets)
-		}
-		for i := 0; i < out.Len(); i++ {
-			b := router.Bucket(out.Keys[i])
-			bb := batches[b]
-			if bb == nil {
-				bb = dataflow.NewBatch(8)
-				bb.NonNil = true // row routing appends, yielding non-nil buckets
-				batches[b] = bb
-			}
-			bb.AppendFromBatch(out, i)
-		}
-	}
-	bucketBytes := make([]int64, st.NumBuckets)
-	var written int64
-	for b, bb := range batches {
-		if bb.Len() == 0 {
-			continue // row path skips empty buckets: size stays 0, not 24
-		}
-		if dep.Combine != nil {
-			merged := combineBucket(bb, dep)
-			bb.Release()
-			batches[b] = merged
-			bb = merged
-		}
-		size := bb.EstimateSize()
-		bucketBytes[b] = size
-		written += size
-	}
-	if !dep.Broadcast {
-		out.Release()
-	}
-	if err := c.shuffle.SetMapOutputBatch(dep.ShuffleID, part, ex.ID, batches, bucketBytes); err != nil {
-		panic(err) // stage was Ensure'd and only missing maps re-run
-	}
-	// Shuffle write cost: serialization dominates, exactly as in
-	// runTaskBody.
-	cost := c.cfg.Params.Serialize(written)
-	ex.Clock().Advance(cost)
-	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
-	return nil
+// plane is how a task holds a partition of type P between operators.
+type plane[P any] interface {
+	// fromRecords adopts a partition read from a row-typed block store.
+	fromRecords(recs []dataflow.Record) P
+	// records returns the partition in row form for a block store or
+	// the driver. The partition stays usable.
+	records(p P) []dataflow.Record
+	length(p P) int
+	// size is the analytic footprint, EstimateRecords of the rows.
+	size(p P) int64
+	// release returns pooled storage; p must not be used afterwards.
+	release(p P)
+	// compute runs the dataset's operator on its parents' partitions,
+	// consuming them.
+	compute(ds *dataflow.Dataset, part int, ins []P) P
+	// route appends every record of out to buckets[r.Bucket(key)].
+	route(out P, r dataflow.Router, buckets []P)
+	// combine merges same-key records of a routed bucket map-side,
+	// consuming the bucket.
+	combine(bucket P, dep dataflow.Dependency) P
+	fetch(s *shuffle.Service, shuffleID, bucket int) (P, int64, error)
+	// setMapOutput hands buckets over to the shuffle service.
+	setMapOutput(s *shuffle.Service, shuffleID, mapPart, executor int, buckets []P, bytes []int64) error
 }
 
-// combineBucket applies map-side combining to one routed bucket,
-// unboxed when the dependency carries a float64 combiner and the bucket
-// is a float64 column, boxed otherwise. Both branches preserve
-// mergeByKey's first-seen key order and per-key accumulation order, so
-// the merged values are bit-equal to the row path's.
-func combineBucket(bb *dataflow.Batch, dep dataflow.Dependency) *dataflow.Batch {
-	if dep.CombineF64 != nil {
-		if _, ok := bb.Col.(*dataflow.F64Column); ok {
-			return dataflow.MergeBatchByKeyF64(bb, dep.CombineF64)
-		}
-	}
-	return dataflow.FromRecords(dataflow.MergeByKey(bb.Records(), dep.Combine))
+// rows is the boxed plane: a partition is the []dataflow.Record slice
+// itself, shared with the block stores.
+type rows struct{}
+
+func (rows) fromRecords(recs []dataflow.Record) []dataflow.Record { return recs }
+func (rows) records(p []dataflow.Record) []dataflow.Record        { return p }
+func (rows) length(p []dataflow.Record) int                       { return len(p) }
+func (rows) size(p []dataflow.Record) int64                       { return storage.EstimateRecords(p) }
+func (rows) release([]dataflow.Record)                            {}
+
+func (rows) compute(ds *dataflow.Dataset, part int, ins [][]dataflow.Record) []dataflow.Record {
+	return ds.Compute(part, ins)
 }
 
-// materializeVec is materialize on the columnar data plane: the same
-// three recovery paths, charges and events; only the payload container
-// differs. Cache hits box out of the store (FromRecords copies, so
-// released batches never alias cached records); recomputed partitions
-// box into it at most once, and only if the controller places them.
-func (c *Cluster) materializeVec(ex *Executor, ds *dataflow.Dataset, part int) *dataflow.Batch {
-	id := storage.BlockID{Dataset: ds.ID(), Partition: part}
-	params := c.cfg.Params
-	stats := &c.met.Executors[ex.ID]
-
-	// 1. Memory store.
-	if recs, meta, ok := ex.Mem.Get(id, ex.Clock().Now()); ok {
-		if c.cfg.AlluxioMode {
-			cost := params.Serialize(meta.Size)
-			ex.Clock().Advance(cost)
-			stats.Breakdown.DiskIO += cost
-			c.meter.AddModeled(storage.MemDecode, cost)
-		}
-		c.met.IncCacheHit()
-		c.ctl.OnBlockAccess(ex, id)
-		c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockHit, Time: ex.Clock().Now(), Job: c.curJob,
-			Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: meta.Size})
-		return dataflow.FromRecords(recs)
+func (rows) route(out []dataflow.Record, r dataflow.Router, buckets [][]dataflow.Record) {
+	for _, rec := range out {
+		b := r.Bucket(rec.Key)
+		buckets[b] = append(buckets[b], rec)
 	}
+}
 
-	// 2. Disk store.
-	if recs, size, ok := ex.Disk.Get(id); ok {
-		cost := params.DiskRead(size)
-		ex.Clock().Advance(cost)
-		stats.Breakdown.DiskIO += cost
-		c.meter.AddModeled(storage.DiskRead, cost)
-		c.met.IncDiskHit()
-		c.ctl.OnBlockAccess(ex, id)
-		c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockDiskHit, Time: ex.Clock().Now(), Job: c.curJob,
-			Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: size, Cost: cost})
-		if c.ctl.PromoteOnDiskRead(ex, id) {
-			c.admitToMemory(ex, id, recs, size)
-		}
-		return dataflow.FromRecords(recs)
-	}
+func (rows) combine(bucket []dataflow.Record, dep dataflow.Dependency) []dataflow.Record {
+	return dataflow.MergeByKey(bucket, dep.Combine)
+}
 
-	// 3. Recompute from parents.
-	c.mu.Lock()
-	wasComputed := c.computedOnce[id]
-	c.mu.Unlock()
-	ins := make([]*dataflow.Batch, len(ds.Deps()))
-	totalIn := 0
-	var fetchCost time.Duration
-	for i, dep := range ds.Deps() {
-		if dep.Shuffle {
-			var fc time.Duration
-			ins[i], fc = c.fetchShuffleVec(ex, dep, ds.Partitions(), part)
-			fetchCost += fc
-		} else {
-			ins[i] = c.materializeVec(ex, dep.Parent, part)
-		}
-		totalIn += ins[i].Len()
-	}
+func (rows) fetch(s *shuffle.Service, shuffleID, bucket int) ([]dataflow.Record, int64, error) {
+	return s.Fetch(shuffleID, bucket)
+}
+
+func (rows) setMapOutput(s *shuffle.Service, shuffleID, mapPart, executor int, buckets [][]dataflow.Record, bytes []int64) error {
+	return s.SetMapOutput(shuffleID, mapPart, executor, buckets, bytes)
+}
+
+// columns is the typed plane. Cache hits copy out of the store
+// (FromRecords), so released batches never alias cached records.
+type columns struct{}
+
+func (columns) fromRecords(recs []dataflow.Record) *dataflow.Batch { return dataflow.FromRecords(recs) }
+func (columns) records(p *dataflow.Batch) []dataflow.Record        { return p.Records() }
+func (columns) length(p *dataflow.Batch) int                       { return p.Len() }
+func (columns) size(p *dataflow.Batch) int64                       { return p.EstimateSize() }
+func (columns) release(p *dataflow.Batch)                          { p.Release() }
+
+func (columns) compute(ds *dataflow.Dataset, part int, ins []*dataflow.Batch) *dataflow.Batch {
 	out := ds.BatchCompute(part, ins)
 	for _, in := range ins {
 		in.Release() // kernels must not retain inputs; see batch.go
 	}
-	n := totalIn
-	if out.Len() > n {
-		n = out.Len()
-	}
-	size := out.EstimateSize()
-	cost := params.Compute(costmodel.OpClass(ds.Class()), n)
-	if len(ds.Deps()) == 0 {
-		cost += params.SourceRead(size)
-	}
-	ex.Clock().Advance(cost)
-	stats.Breakdown.Compute += cost
-	if wasComputed {
-		stats.Breakdown.Recompute += cost
-		c.met.IncMiss()
-		c.met.AddRecompute(c.curJob, cost)
-		c.emitEx(ex, eventlog.Event{Kind: eventlog.Recomputed, Time: ex.Clock().Now(), Job: c.curJob,
-			Executor: ex.ID, Dataset: ds.ID(), Partition: part, Cost: cost})
-	}
-	c.mu.Lock()
-	class, wasFaultLost := c.faultLost[id]
-	if wasFaultLost {
-		delete(c.faultLost, id)
-	}
-	c.computedOnce[id] = true
-	c.mu.Unlock()
-	if wasFaultLost {
-		c.met.AddFaultRecovery(c.curJob, cost)
-		c.met.AddFaultRecoveryClass(class, cost)
-		c.emitEx(ex, eventlog.Event{Kind: eventlog.Recovered, Time: ex.Clock().Now(), Job: c.curJob,
-			Executor: ex.ID, Dataset: ds.ID(), Partition: part, Cost: cost})
-	}
-
-	c.ctl.OnComputed(ex, ds, part, size, cost+fetchCost)
-
-	primary, fallback := c.ctl.PlaceComputed(ex, ds, part, size)
-	var boxed []dataflow.Record
-	box := func() []dataflow.Record {
-		if boxed == nil {
-			boxed = out.Records()
-		}
-		return boxed
-	}
-	placed := false
-	if primary == PlaceMemory {
-		placed = c.admitToMemory(ex, id, box(), size)
-	}
-	if !placed && (primary == PlaceDisk || (primary == PlaceMemory && fallback == PlaceDisk)) {
-		c.writeToDisk(ex, id, box(), size)
-	}
 	return out
 }
 
-// fetchShuffleVec is fetchShuffle returning a columnar bucket; the
-// regeneration/flake prologue and the fetch cost charge are identical.
-func (c *Cluster) fetchShuffleVec(ex *Executor, dep dataflow.Dependency, childParts, part int) (*dataflow.Batch, time.Duration) {
-	c.fetchShufflePrologue(ex, dep, childParts, part)
-	bb, bytes, err := c.shuffle.FetchBatch(dep.ShuffleID, part)
-	if err != nil {
-		panic(err) // regeneration above guarantees completeness
+func (columns) route(out *dataflow.Batch, r dataflow.Router, buckets []*dataflow.Batch) {
+	for i := 0; i < out.Len(); i++ {
+		b := r.Bucket(out.Keys[i])
+		bb := buckets[b]
+		if bb == nil {
+			bb = dataflow.NewBatch(8)
+			bb.NonNil = true // row routing appends, yielding non-nil buckets
+			buckets[b] = bb
+		}
+		bb.AppendFromBatch(out, i)
 	}
-	cost := c.cfg.Params.NetTransfer(bytes) + c.cfg.Params.Serialize(bytes)
-	ex.Clock().Advance(cost)
-	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
-	return bb, cost
+}
+
+// combine merges unboxed when the dependency carries a float64 combiner
+// and the bucket is a float64 column, boxed otherwise. Both preserve
+// mergeByKey's first-seen key order and per-key accumulation order, so
+// the merged values are bit-equal to the row plane's.
+func (columns) combine(bb *dataflow.Batch, dep dataflow.Dependency) *dataflow.Batch {
+	var merged *dataflow.Batch
+	if _, ok := bb.Col.(*dataflow.F64Column); ok && dep.CombineF64 != nil {
+		merged = dataflow.MergeBatchByKeyF64(bb, dep.CombineF64)
+	} else {
+		merged = dataflow.FromRecords(dataflow.MergeByKey(bb.Records(), dep.Combine))
+	}
+	bb.Release()
+	return merged
+}
+
+func (columns) fetch(s *shuffle.Service, shuffleID, bucket int) (*dataflow.Batch, int64, error) {
+	return s.FetchBatch(shuffleID, bucket)
+}
+
+func (columns) setMapOutput(s *shuffle.Service, shuffleID, mapPart, executor int, buckets []*dataflow.Batch, bytes []int64) error {
+	return s.SetMapOutputBatch(shuffleID, mapPart, executor, buckets, bytes)
 }
